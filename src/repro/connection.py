@@ -14,7 +14,8 @@ Prepared statements
 ``execute(sql, params)`` treats every SQL string as a prepared statement:
 each connection keeps an LRU cache (``plan_cache_size`` entries, default 128)
 keyed on the SQL text holding the parsed AST *and*, for SELECTs, the planned
-:class:`~repro.db.sql.planner.SelectPlan`.  Re-executing the same text —
+:class:`~repro.db.sql.planner.SelectPlan` (for UPDATE/DELETE, the plan that
+finds their target keys).  Re-executing the same text —
 including through ``executemany`` — re-binds the ``?`` parameters without
 re-parsing or re-planning.  Statements that change what a plan may assume
 (DDL, ``CREATE CLASSIFICATION VIEW``, the serving lifecycle verbs) clear the
@@ -63,10 +64,8 @@ from repro.db.sql.ast import (
     Delete,
     DropIndex,
     DropTable,
-    Explain,
     Insert,
     RestoreView,
-    Select,
     ServeView,
     Statement,
     StopServing,
@@ -106,7 +105,7 @@ _CACHE_INVALIDATING = (
 
 
 class PreparedStatement:
-    """One cached compilation: the parsed AST plus, for SELECTs, its plan.
+    """One cached compilation: the parsed AST plus, for SELECT/UPDATE/DELETE, its plan.
 
     ``probe`` memoizes the plan's cost probe (``probe_plan`` records which
     plan it was built for, so a refreshed plan rebuilds it) — the traced
@@ -287,17 +286,13 @@ class Connection:
         return self.cursor().executemany(sql, parameter_rows)
 
     def _plan_statement(self, statement: Statement):
-        """The cacheable plan for a statement: SELECTs and ``EXPLAIN <select>``
-        (the Explain handler honours it under the same catalog-version guard
-        the SELECT path uses)."""
-        if isinstance(statement, Select):
-            return self.database.executor.plan_select(statement)
-        if isinstance(statement, Explain) and isinstance(statement.statement, Select):
-            return self.database.executor.plan_select(statement.statement)
-        return None
+        """The cacheable plan for a statement: SELECT, UPDATE, DELETE and
+        their ``EXPLAIN`` (the executor honours it under one catalog-version
+        guard for all of them)."""
+        return self.database.executor.plan(statement)
 
     def prepare(self, sql: str) -> PreparedStatement:
-        """Parse (and for SELECTs, plan) once; cached by SQL text in LRU order.
+        """Parse (and for SELECT/UPDATE/DELETE, plan) once; cached by SQL text in LRU order.
 
         Spans record work actually performed: a plan-cache hit parses and
         plans nothing, so it records nothing — parse/plan spans appear on
@@ -361,10 +356,11 @@ class Connection:
     def _statement_cost_probe(self, prepared: PreparedStatement):
         """Simulated-seconds probe covering every ledger this statement touches.
 
-        Planned SELECTs reuse the plan's own probe (database + served-shard +
-        view-store ledgers); everything else charges the database ledger only
-        (DML's serving-side cost is applied asynchronously by the maintenance
-        worker and attributed there).
+        Planned statements reuse the plan's own probe (database + served-shard
+        + view-store ledgers; an UPDATE/DELETE key plan reads base tables, so
+        its probe is the database ledger); everything else charges the
+        database ledger only (DML's serving-side cost is applied
+        asynchronously by the maintenance worker and attributed there).
         """
         plan = prepared.plan
         if plan is not None:

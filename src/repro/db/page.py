@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.exceptions import PageError
+from repro.exceptions import PageError, PageOverflowError
 
 __all__ = ["RecordId", "Page"]
 
@@ -91,7 +91,7 @@ class Page:
             raise PageError(f"slot {slot} of page {self.page_id} is deleted")
         old_size = self._sizes[slot]
         if self.used_bytes - old_size + row_size > self.capacity_bytes:
-            raise PageError(
+            raise PageOverflowError(
                 f"in-place update of slot {slot} on page {self.page_id} would overflow"
             )
         self._slots[slot] = row

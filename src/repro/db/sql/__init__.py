@@ -18,13 +18,24 @@ The dialect covers what the paper's examples and experiments need:
   of simple comparisons (columns optionally qualified as ``t.col``),
   ``ORDER BY``, ``LIMIT``, and a single inner equi-join
   (``FROM t JOIN v ON t.id = v.id``)
-* ``UPDATE ... SET ... WHERE`` and ``DELETE FROM ... WHERE``
+* ``UPDATE ... SET ... WHERE`` and ``DELETE FROM ... WHERE`` — planned like
+  reads: the rows to write are found by ``SELECT <pk> FROM t WHERE <the
+  WHERE>`` through the planner's normal access-path choice (an index-only
+  primary-key probe for ``id = ?``, a secondary-index range where an index
+  serves the predicate, otherwise a scan, always under the residual
+  ``Filter``); every target key is collected before the first write, and
+  writes apply by primary key in heap order.  ``?`` placeholders bind
+  positionally, SET values first.  An UPDATE that lengthens a row past its
+  page's free space relocates the row and re-points every index at it
 * ``CREATE CLASSIFICATION VIEW`` — the model-based view DDL of Example 2.1
 * the serving lifecycle verbs (``SERVE VIEW`` / ``STOP SERVING`` /
   ``CHECKPOINT VIEW ... TO [WITH (incremental = true, parent = '...')]`` /
   ``RESTORE VIEW ... FROM``), all taking ``WITH (...)`` options
 * ``EXPLAIN`` and ``EXPLAIN ANALYZE`` (the latter also reports buffer-pool
-  pages read/written by the statement)
+  pages read/written by the statement).  ``EXPLAIN UPDATE|DELETE`` prints an
+  ``UPDATE(t)``/``DELETE(t)`` row with the key-finding plan indented under
+  it and executes nothing; ``EXPLAIN ANALYZE`` accepts SELECTs only, since a
+  write's price includes the view maintenance its triggers run
 * the virtual ``system.*`` observability tables, readable with plain
   ``SELECT`` (filters/ORDER BY/LIMIT apply; joins are rejected):
 
@@ -41,10 +52,11 @@ The dialect covers what the paper's examples and experiments need:
   System-table scans cost zero simulated seconds by construction —
   observability reads must never perturb the cost model they report on.
 
-The read path is **plan-first**; the pipeline is::
+Reads and keyed writes are **plan-first**; the pipeline is::
 
     SQL text --tokenize/parse--> AST            (lexer.py, parser.py, ast.py)
-        --Planner.plan_select--> logical plan    (planner.py: access-path choice,
+        --Planner.plan_select /
+          Planner.plan_dml-----> logical plan    (planner.py: access-path choice,
                                                   predicate pushdown, validation)
         --cost annotation-----> physical plan    (plan.py: SeqScan, IndexRange,
                                                   SecondaryIndexRange,
@@ -67,9 +79,9 @@ node.  Planning errors (unknown columns, ambiguous join references,
 unsupported read shapes) surface at plan time as
 :class:`~repro.exceptions.SQLPlanningError` carrying the parser's
 machine-readable ``position``/``token`` diagnostics.  The connection layer
-(:mod:`repro.connection`) caches ``SelectPlan`` objects per SQL text, so
-repeated statements re-bind ``?`` parameters without re-parsing or
-re-planning.
+(:mod:`repro.connection`) caches ``SelectPlan`` objects per SQL text — for
+SELECT, UPDATE, DELETE and their ``EXPLAIN`` — so repeated statements re-bind
+``?`` parameters without re-parsing or re-planning.
 
 The dialect is also servable over TCP (:mod:`repro.net`).  The wire format is
 deliberately boring: every frame is a 4-byte big-endian length followed by

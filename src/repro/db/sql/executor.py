@@ -6,21 +6,26 @@ into a :class:`~repro.db.sql.planner.SelectPlan` of typed
 :mod:`~repro.db.sql.plan` nodes and executed by walking that tree; the
 executor itself contains no statement-shape dispatch.  ``EXPLAIN`` prints the
 same plan the executor would run; ``EXPLAIN ANALYZE`` runs it and reports
-actual vs estimated simulated seconds per node.  DML and DDL execute directly
-(their cost is dominated by triggers and maintained views, not access-path
-choice).
+actual vs estimated simulated seconds per node.
+
+``UPDATE`` and ``DELETE`` are plan-first too: their target rows are found by
+the planned ``SELECT <pk> FROM t WHERE <their WHERE>`` (an index-only
+primary-key probe, a secondary-index range or a scan, under the same residual
+``Filter`` as any read), every target key is collected, and only then are
+the writes applied by primary key in heap order.  ``EXPLAIN UPDATE|DELETE``
+prints that key-finding plan under the write node.  ``INSERT`` and DDL
+execute directly.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro.db.schema import Column, TableSchema
 from repro.db.sql.ast import (
     PLACEHOLDER,
     CheckpointView,
-    Comparison,
     CreateClassificationView,
     CreateIndex,
     CreateTable,
@@ -36,7 +41,6 @@ from repro.db.sql.ast import (
     StopServing,
     Update,
 )
-from repro.db.sql.plan import compare_values
 from repro.db.sql.planner import Planner, SelectPlan
 from repro.db.types import DataType
 from repro.exceptions import SQLExecutionError, SQLPlanningError
@@ -98,8 +102,32 @@ class SQLExecutor:
     # -- planning ------------------------------------------------------------------------
 
     def plan_select(self, statement: Select) -> SelectPlan:
-        """Compile one SELECT into its plan (the prepared-statement cache hook)."""
+        """Compile one SELECT into its plan."""
         return self._planner.plan_select(statement)
+
+    def plan(self, statement: Statement) -> SelectPlan | None:
+        """The cacheable plan of one statement (the prepared-statement cache hook).
+
+        SELECTs compile to their read plan; UPDATE and DELETE to the plan
+        that finds their target keys; ``EXPLAIN`` to its inner statement's
+        plan.  Every other statement runs unplanned (None).
+        """
+        if isinstance(statement, Explain):
+            statement = statement.statement
+        if isinstance(statement, Select):
+            return self.plan_select(statement)
+        if isinstance(statement, (Update, Delete)):
+            return self._planner.plan_dml(statement)
+        return None
+
+    def _current_plan(self, statement: Statement, plan: SelectPlan | None) -> SelectPlan:
+        """``plan`` while the catalog it was built against is unchanged, else
+        a fresh one: DDL on *any* connection sharing this database bumps the
+        version, and a stale plan holding a dropped or replaced table, view
+        or index must be rebuilt, not walked."""
+        if plan is None or plan.catalog_version != self._database.catalog.version:
+            plan = self.plan(statement)
+        return plan
 
     # -- entry point ---------------------------------------------------------------------
 
@@ -116,8 +144,9 @@ class SQLExecutor:
         :class:`repro.connection.Connection`) threaded through to served-view
         plan nodes so that reads against served views get that connection's
         monotonic read-your-writes session.  ``plan`` short-circuits planning
-        for SELECT statements (the prepared-statement cache passes the plan it
-        already built; parameters are re-bound without re-planning).
+        for SELECT, UPDATE, DELETE and their EXPLAIN (the prepared-statement
+        cache passes the plan :meth:`plan` built; parameters are re-bound
+        without re-planning, under the catalog-version guard).
         """
         parameters = list(parameters or [])
         if isinstance(statement, CreateTable):
@@ -135,9 +164,9 @@ class SQLExecutor:
         if isinstance(statement, Select):
             return self._execute_select(statement, parameters, context, plan)
         if isinstance(statement, Update):
-            return self._execute_update(statement, parameters)
+            return self._execute_update(statement, parameters, plan)
         if isinstance(statement, Delete):
-            return self._execute_delete(statement, parameters)
+            return self._execute_delete(statement, parameters, plan)
         if isinstance(statement, _SERVING_STATEMENTS):
             return self._execute_serving_statement(statement)
         if isinstance(statement, Explain):
@@ -154,11 +183,11 @@ class SQLExecutor:
         """Execute one statement per parameter row; returns the total rowcount.
 
         The shared prepared-execution loop behind ``Database.executemany`` and
-        ``Connection.executemany``: the statement is already parsed (and, for
-        SELECTs, optionally planned) — each iteration only re-binds ``?``.
+        ``Connection.executemany``: the statement is parsed and planned once
+        (SELECT, UPDATE, DELETE) — each iteration only re-binds ``?``.
         """
-        if plan is None and isinstance(statement, Select):
-            plan = self.plan_select(statement)
+        if plan is None:
+            plan = self.plan(statement)
         total = 0
         for parameters in parameter_rows:
             total += self.execute(statement, parameters, context, plan=plan).rowcount
@@ -262,32 +291,6 @@ class SQLExecutor:
             inserted += 1
         return ResultSet(rowcount=inserted, statement_type="INSERT")
 
-    def _bind_where(
-        self, where: tuple[Comparison, ...], parameters: list, cursor: int
-    ) -> tuple[list[Comparison], int]:
-        bound: list[Comparison] = []
-        for comparison in where:
-            value = comparison.value
-            if value is PLACEHOLDER:
-                if cursor >= len(parameters):
-                    raise SQLExecutionError("not enough parameters for placeholders")
-                value = parameters[cursor]
-                cursor += 1
-            bound.append(Comparison(comparison.column, comparison.operator, value))
-        return bound, cursor
-
-    @staticmethod
-    def _matches(row: Mapping[str, object], comparisons: Iterable[Comparison]) -> bool:
-        for comparison in comparisons:
-            matched_key = next(
-                (key for key in row if key.lower() == comparison.column.lower()), None
-            )
-            if matched_key is None:
-                raise SQLExecutionError(f"unknown column {comparison.column!r} in WHERE clause")
-            if not compare_values(row[matched_key], comparison.operator, comparison.value):
-                return False
-        return True
-
     # -- SELECT (plan-first) -------------------------------------------------------------
 
     def _execute_select(
@@ -297,53 +300,67 @@ class SQLExecutor:
         context: object = None,
         plan: SelectPlan | None = None,
     ) -> ResultSet:
-        if plan is None or plan.catalog_version != self._database.catalog.version:
-            # A supplied plan is only honoured while the catalog it was built
-            # against is unchanged: DDL on *any* connection sharing this
-            # database bumps the version, and a stale plan holding a dropped
-            # or replaced table/view object must be rebuilt, not walked.
-            plan = self._planner.plan_select(statement)
+        rows = self._run_plan(statement, parameters, context, plan)
+        return ResultSet(rows=rows, rowcount=len(rows), statement_type="SELECT")
+
+    def _run_plan(
+        self,
+        statement: Statement,
+        parameters: list,
+        context: object,
+        plan: SelectPlan | None,
+    ) -> list[dict]:
+        """Walk the statement's current plan and return its rows."""
+        plan = self._current_plan(statement, plan)
         rows, runtime = plan.run(self._database, parameters, context)
         trace = current_trace()
         if trace is not None:
             # Mirror the executed tree's per-node actuals as spans; the same
             # numbers EXPLAIN ANALYZE would report for this statement.
             trace.add_plan_tree(plan, runtime, trace.cross_thread_parent_id)
-        return ResultSet(rows=rows, rowcount=len(rows), statement_type="SELECT")
+        return rows
 
-    def _execute_update(self, statement: Update, parameters: list) -> ResultSet:
-        table = self._database.catalog.table(statement.table)
-        cursor = 0
-        assignments: list[tuple[str, object]] = []
-        for column, literal in statement.assignments:
-            value = literal
-            if literal is PLACEHOLDER:
-                if cursor >= len(parameters):
-                    raise SQLExecutionError("not enough parameters for placeholders")
-                value = parameters[cursor]
-                cursor += 1
-            assignments.append((column, value))
-        where, cursor = self._bind_where(statement.where, parameters, cursor)
-        if table.schema.primary_key is None:
-            raise SQLExecutionError(f"UPDATE requires a primary key on {statement.table!r}")
-        pk = table.schema.primary_key
-        keys_to_update = [
-            row[pk] for row in table.scan() if self._matches(row, where)
-        ]
-        for key in keys_to_update:
-            table.update_by_key(key, dict(assignments))
-        return ResultSet(rowcount=len(keys_to_update), statement_type="UPDATE")
+    def _execute_update(
+        self, statement: Update, parameters: list, plan: SelectPlan | None
+    ) -> ResultSet:
+        # ``?`` binds positionally: SET placeholders first, the WHERE's after.
+        set_count = sum(1 for _, value in statement.assignments if value is PLACEHOLDER)
+        if set_count > len(parameters):
+            raise SQLExecutionError("not enough parameters for placeholders")
+        bound = iter(parameters[:set_count])
+        changes = {
+            column: next(bound) if value is PLACEHOLDER else value
+            for column, value in statement.assignments
+        }
+        table, keys = self._target_keys(statement, parameters[set_count:], plan)
+        for key in keys:
+            table.update_by_key(key, changes)
+        return ResultSet(rowcount=len(keys), statement_type="UPDATE")
 
-    def _execute_delete(self, statement: Delete, parameters: list) -> ResultSet:
-        table = self._database.catalog.table(statement.table)
-        where, _ = self._bind_where(statement.where, parameters, 0)
-        if table.schema.primary_key is None:
-            raise SQLExecutionError(f"DELETE requires a primary key on {statement.table!r}")
-        pk = table.schema.primary_key
-        keys_to_delete = [row[pk] for row in table.scan() if self._matches(row, where)]
-        for key in keys_to_delete:
+    def _execute_delete(
+        self, statement: Delete, parameters: list, plan: SelectPlan | None
+    ) -> ResultSet:
+        table, keys = self._target_keys(statement, parameters, plan)
+        for key in keys:
             table.delete_by_key(key)
-        return ResultSet(rowcount=len(keys_to_delete), statement_type="DELETE")
+        return ResultSet(rowcount=len(keys), statement_type="DELETE")
+
+    def _target_keys(
+        self, statement: Update | Delete, parameters: list, plan: SelectPlan | None
+    ) -> tuple[object, list]:
+        """Run the statement's key-finding plan; every target key, in heap order.
+
+        All keys are collected before the first write, so a write can never
+        move a row into (or out of) the rows still being searched.  Writes
+        then apply in physical order whichever access path found them, so
+        trigger firings and row relocations are the same as under a scan.
+        """
+        rows = self._run_plan(statement, parameters, None, plan)
+        table = self._database.catalog.table(statement.table)
+        key = table.schema.primary_key
+        keys = [row[key] for row in rows]
+        keys.sort(key=table.primary_index.get)
+        return table, keys
 
     # -- serving lifecycle ---------------------------------------------------------------
 
@@ -367,16 +384,17 @@ class SQLExecutor:
     ) -> ResultSet:
         """Print the plan (and, under ANALYZE, execute it and report actuals).
 
-        A cached ``plan`` (the connection layer prepares ``EXPLAIN <select>``
-        like any SELECT) is honoured under the same catalog-version guard as
-        execution: DDL anywhere — including ``CREATE INDEX``/``DROP INDEX``,
+        ``EXPLAIN UPDATE|DELETE`` prints the write node with the plan that
+        finds its target keys indented under it, and executes nothing.  A
+        cached ``plan`` (the connection layer prepares ``EXPLAIN <stmt>`` like
+        the statement itself) is honoured under the same catalog-version
+        guard as execution: DDL anywhere — including ``CREATE INDEX``/``DROP INDEX``,
         which change access paths without changing the namespace — must make
         EXPLAIN report the re-planned tree, never a stale one.
         """
         inner = statement.statement
         if isinstance(inner, Select):
-            if plan is None or plan.catalog_version != self._database.catalog.version:
-                plan = self._planner.plan_select(inner)
+            plan = self._current_plan(inner, plan)
             if statement.analyze:
                 before = self._database.stats.snapshot()
                 _, runtime = plan.run(self._database, parameters, context)
@@ -388,6 +406,8 @@ class SQLExecutor:
             rows = plan.explain_rows()
             return ResultSet(rows=rows, rowcount=len(rows), statement_type="EXPLAIN")
         if statement.analyze:
+            # Pricing a write needs its trigger-fired view maintenance, which
+            # no per-statement ledger attributes to it yet.
             raise SQLExecutionError(
                 "EXPLAIN ANALYZE supports SELECT statements only "
                 "(executing DML under EXPLAIN would mutate the database)"
@@ -407,4 +427,11 @@ class SQLExecutor:
                 "estimated_seconds": None,
                 "detail": "no cost estimate for this statement type",
             }
-        return ResultSet(rows=[row], rowcount=1, statement_type="EXPLAIN")
+        rows = [row]
+        if isinstance(inner, (Update, Delete)):
+            # The plan that finds the write's target keys, under the write node.
+            rows += [
+                {**key_row, "node": "  " + key_row["node"]}
+                for key_row in self._current_plan(inner, plan).explain_rows()
+            ]
+        return ResultSet(rows=rows, rowcount=len(rows), statement_type="EXPLAIN")

@@ -11,7 +11,8 @@ The node vocabulary:
 
 ========================  ==========================================================
 ``SeqScan``               sequential heap scan of a base table
-``IndexRange``            primary-key index access (point form: a ``[k, k]`` range)
+``IndexRange``            primary-key index access (point form: a ``[k, k]`` range);
+                          index-only when the query needs just the key
 ``SecondaryIndexRange``   B+-tree probe on a ``CREATE INDEX`` column + heap fetch
                           per match; optionally index-ordered with a fused LIMIT
 ``LogicalViewScan``       materialization of an opaque logical view callable
@@ -60,6 +61,7 @@ from itertools import compress
 import numpy as np
 
 from repro.db.sql.ast import PLACEHOLDER
+from repro.db.types import coerce_value
 from repro.exceptions import (
     ConfigurationError,
     KeyNotFoundError,
@@ -452,21 +454,36 @@ class SeqScan(PlanNode):
 
 
 class IndexRange(PlanNode):
-    """Primary-key index access; the point form is the degenerate ``[k, k]`` range."""
+    """Primary-key index access; the point form is the degenerate ``[k, k]`` range.
 
-    def __init__(self, table, predicate: Predicate, **kwargs):
+    With ``covering`` set the query needs no column but the key itself, so
+    the hash probe answers alone and the heap fetch is skipped: the row is
+    the key in its stored form (the planner only marks INTEGER and TEXT keys
+    covering, whose coercion reproduces the stored value exactly).
+    """
+
+    def __init__(self, table, predicate: Predicate, covering: bool = False, **kwargs):
         super().__init__(**kwargs)
         self.table = table
         self.predicate = predicate
+        self.covering = covering
 
     def label(self) -> str:
-        return f"IndexRange({self.table.name}.{self.predicate.render()})"
+        suffix = ", covering" if self.covering else ""
+        return f"IndexRange({self.table.name}.{self.predicate.render()}{suffix})"
 
     def _run(self, runtime: PlanRuntime) -> list[dict]:
         key = self.predicate.bind(runtime.parameters)
-        row = self.table.try_get_by_key(key)
-        runtime.charge_interpretation(1 if row is not None else 0)
-        return [dict(row)] if row is not None else []
+        if self.covering:
+            rows = []
+            if key in self.table.primary_index:
+                pk = self.table.schema.column(self.table.schema.primary_key)
+                rows.append({pk.name: coerce_value(key, pk.data_type, pk.name)})
+        else:
+            row = self.table.try_get_by_key(key)
+            rows = [dict(row)] if row is not None else []
+        runtime.charge_interpretation(len(rows))
+        return rows
 
 
 class SecondaryIndexRange(PlanNode):

@@ -1,19 +1,23 @@
 """The query planner: Select AST -> logical/physical plan tree.
 
 This is the seam between the SQL front-end and execution.  ``plan_select``
-resolves every name against the catalog, validates column references at *plan
-time* (carrying the parser's machine-readable ``position``/``token``
-diagnostics into :class:`~repro.exceptions.SQLPlanningError`), chooses an
-access path per source, pushes single-source predicates below joins, and
-annotates every node with a deterministic cost-model estimate.  The executor
+(and ``plan_dml``, which plans the ``SELECT <pk>`` that finds an UPDATE's or
+DELETE's target rows) resolves every name against the catalog, validates
+column references at *plan time* (carrying the parser's machine-readable
+``position``/``token`` diagnostics into
+:class:`~repro.exceptions.SQLPlanningError`), chooses an access path per
+source, pushes single-source predicates below joins, and annotates every node
+with a deterministic cost-model estimate.  The executor
 runs the returned :class:`SelectPlan`; ``EXPLAIN`` prints it; the connection
 layer caches it per SQL text and re-binds ``?`` parameters without re-planning.
 
 Access-path choice per source:
 
 * base table — primary-key equality takes an :class:`IndexRange` point
-  lookup; otherwise every ``CREATE INDEX`` secondary index whose key
-  carries servable conjuncts (``=``/``<``/``<=``/``>``/``>=``) is costed as a
+  lookup (index-only when the query needs no column but an INTEGER or TEXT
+  key, as a keyed UPDATE/DELETE does); otherwise every ``CREATE INDEX``
+  secondary index whose key carries servable conjuncts
+  (``=``/``<``/``<=``/``>``/``>=``) is costed as a
   :class:`SecondaryIndexRange` (B+-tree probe + one heap fetch per estimated
   match, selectivity from the index's own statistics) against the
   :class:`SeqScan`, and the cheapest estimate wins — on the FROM side and the
@@ -40,7 +44,7 @@ the re-check keeps answers byte-identical to the post-filter semantics.
 
 from __future__ import annotations
 
-from repro.db.sql.ast import PLACEHOLDER, Comparison, Select
+from repro.db.sql.ast import PLACEHOLDER, Comparison, Delete, Select, Update
 from repro.db.sql.plan import (
     Aggregate,
     Filter,
@@ -66,13 +70,16 @@ from repro.db.sql.plan import (
     ViewRangeRead,
     ViewScan,
 )
-from repro.exceptions import SQLPlanningError
+from repro.db.types import DataType
+from repro.exceptions import SQLExecutionError, SQLPlanningError
 
 __all__ = ["Planner", "SelectPlan"]
 
 _RANGE_OPERATORS = ("<", "<=", ">", ">=")
 #: Operators a secondary B+-tree index can serve (NULL-valued literals excluded).
 _INDEXABLE_OPERATORS = ("=", "<", "<=", ">", ">=")
+#: Primary-key types an index-only point probe may answer for (see _covered_by_key).
+_EXACT_KEY_TYPES = (DataType.INTEGER, DataType.TEXT)
 
 
 class SelectPlan:
@@ -84,7 +91,14 @@ class SelectPlan:
     with the actuals a finished :class:`PlanRuntime` collected).
     """
 
-    def __init__(self, root: PlanNode, select: Select, views=(), catalog_version: int = 0) -> None:
+    def __init__(
+        self,
+        root: PlanNode,
+        select: Select,
+        views=(),
+        catalog_version: int = 0,
+        parameter_count: int = 0,
+    ) -> None:
         self.root = root
         self.select = select
         self._views = tuple(views)
@@ -92,8 +106,13 @@ class SelectPlan:
         #: re-plans when the namespace changed (a dropped/replaced table or
         #: view must never be read through a stale cached plan).
         self.catalog_version = catalog_version
+        #: ``?`` placeholders the plan binds; checked before execution so a
+        #: missing parameter fails even when no row reaches the predicate.
+        self.parameter_count = parameter_count
 
     def run(self, database, parameters, context) -> tuple[list[dict], PlanRuntime]:
+        if len(parameters or ()) < self.parameter_count:
+            raise SQLExecutionError("not enough parameters for placeholders")
         runtime = PlanRuntime(database, parameters, context, self._cost_probe(database))
         rows = self.root.execute(runtime)
         return rows, runtime
@@ -201,6 +220,24 @@ class Planner:
         if select.join is not None:
             return self._plan_join(select)
         return self._plan_single(select)
+
+    def plan_dml(self, statement: Update | Delete) -> SelectPlan:
+        """Plan the row-finding half of an ``UPDATE`` or ``DELETE``.
+
+        The rows a DML statement writes are exactly the answer to
+        ``SELECT <pk> FROM t WHERE <its WHERE>``, so that SELECT is planned
+        like any other: primary-key equality takes an (index-only)
+        :class:`IndexRange`, an indexed predicate a
+        :class:`SecondaryIndexRange`, anything else a :class:`SeqScan`, with
+        the residual :class:`Filter` on top.  Its ``?`` parameters are the
+        statement's WHERE placeholders, numbered from 0.
+        """
+        table = self._database.catalog.table(statement.table)
+        key = table.schema.primary_key
+        if key is None:
+            verb = type(statement).__name__.upper()
+            raise SQLExecutionError(f"{verb} requires a primary key on {statement.table!r}")
+        return self._plan_single(Select(table.name, (key,), statement.where))
 
     # -- name resolution -----------------------------------------------------------------
 
@@ -311,7 +348,11 @@ class Planner:
         node = self._wrap_output(node, select, source)
         views = [source.obj] if source.kind == "classification_view" else []
         return SelectPlan(
-            node, select, views, catalog_version=self._database.catalog.version
+            node,
+            select,
+            views,
+            catalog_version=self._database.catalog.version,
+            parameter_count=counter[0],
         )
 
     # -- ORDER BY / LIMIT / COUNT / projection wrapping ----------------------------------
@@ -513,6 +554,16 @@ class Planner:
         key = {column.lower() for column in index.columns}
         return set(needed) <= key
 
+    def _covered_by_key(self, table, needed) -> bool:
+        """Whether the primary key alone answers the query (an index-only
+        point probe).  Only INTEGER and TEXT keys qualify: coercing a bound
+        value that found a match reproduces their stored value exactly, where
+        a FLOAT key would turn a stored ``0.0`` into the probe's ``-0.0``."""
+        if not self._use_covering_scans or needed is None:
+            return False
+        key = table.schema.column(table.schema.primary_key)
+        return set(needed) <= {key.name.lower()} and key.data_type in _EXACT_KEY_TYPES
+
     @staticmethod
     def _static_bounds(servable) -> tuple[object, object, bool, bool]:
         """``(low, high, equality, bounds_known)`` from the literal conjuncts.
@@ -569,6 +620,15 @@ class Planner:
                 None,
             )
         if point is not None:
+            if self._covered_by_key(table, needed):
+                return IndexRange(
+                    table,
+                    point,
+                    covering=True,
+                    estimated_seconds=cost_model.statement_overhead,
+                    detail=f"primary-key hash probe on {pk!r}, index-only, no heap fetch; "
+                    f"{self._detail_flags(covering=True)}",
+                )
             return IndexRange(
                 table,
                 point,
@@ -953,7 +1013,11 @@ class Planner:
             if source.kind == "classification_view"
         ]
         return SelectPlan(
-            node, select, views, catalog_version=self._database.catalog.version
+            node,
+            select,
+            views,
+            catalog_version=self._database.catalog.version,
+            parameter_count=counter[0],
         )
 
     def _plan_join_side(

@@ -11,7 +11,12 @@ from repro.db.page import RecordId
 from repro.db.schema import TableSchema
 from repro.db.secondary_index import SecondaryIndex
 from repro.db.triggers import Trigger, TriggerEvent, TriggerSet
-from repro.exceptions import DuplicateKeyError, KeyNotFoundError, SchemaError
+from repro.exceptions import (
+    DuplicateKeyError,
+    KeyNotFoundError,
+    PageOverflowError,
+    SchemaError,
+)
 
 __all__ = ["Table"]
 
@@ -67,7 +72,13 @@ class Table:
         return count
 
     def update_by_key(self, key: object, changes: Mapping[str, object]) -> dict[str, object]:
-        """Update the row with primary key ``key`` in place; returns the new row."""
+        """Update the row with primary key ``key``; returns the new row.
+
+        The row is rewritten in place when it still fits its page.  A row
+        that outgrew its page is relocated (re-inserted where it fits, then
+        its old slot tombstoned) and every index is re-pointed at the new
+        record id; either way AFTER UPDATE fires once.
+        """
         if self.primary_index is None:
             raise SchemaError(f"table {self.name!r} has no primary key")
         rid = self.primary_index.lookup(key)
@@ -78,12 +89,25 @@ class Table:
         new_key = validated[self.schema.primary_key]
         if new_key != key and new_key in self.primary_index:
             raise DuplicateKeyError(f"table {self.name!r}: duplicate primary key {new_key!r}")
-        self.heap.update(rid, validated)
+        try:
+            self.heap.update(rid, validated)
+            new_rid = rid
+        except PageOverflowError:
+            # Insert first: a row too large for any page fails before the
+            # old copy is touched.
+            new_rid = self.heap.insert(validated)
+            self.heap.delete(rid)
         if new_key != key:
             self.primary_index.delete(key)
-            self.primary_index.insert(new_key, rid)
+            self.primary_index.insert(new_key, new_rid)
+        elif new_rid != rid:
+            self.primary_index.update(key, new_rid)
         for index in self.secondary_indexes.values():
-            index.replace(old_row, validated, rid)
+            if new_rid == rid:
+                index.replace(old_row, validated, rid)
+            else:
+                index.delete(old_row, rid)
+                index.insert(validated, new_rid)
         self.triggers.fire(TriggerEvent.AFTER_UPDATE, self.name, validated, old_row)
         return validated
 

@@ -46,6 +46,10 @@ class PageError(DatabaseError):
     """Low-level page/heap file corruption or capacity violation."""
 
 
+class PageOverflowError(PageError):
+    """An in-place update would lengthen a row past its page's free space."""
+
+
 class SQLError(DatabaseError):
     """Base class for SQL front-end problems."""
 

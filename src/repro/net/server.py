@@ -431,10 +431,11 @@ class SQLServer:
         """
         with self._lock:
             removed = self._handlers.pop(handler.name, None)
-        handler.teardown()
-        if removed is not None and handler.parted == "error":
-            with self._lock:
+            # Counted with the pop (``parted`` is final by now): a reader that
+            # sees the roster shrink must also see the count move.
+            if removed is not None and handler.parted == "error":
                 self.reaped_total += 1
+        handler.teardown()
 
     # -- observability -------------------------------------------------------------------
 

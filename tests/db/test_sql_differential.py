@@ -13,6 +13,14 @@ ORDER BY column sequence (SQL leaves tie order unspecified, so ties are
 compared as sets).  Each program also draws its execution mode (``batched``
 or ``row``) at random, so both protocols face the oracle.
 
+Writes face the oracle too: every mutation — keyed ``UPDATE ... WHERE id = ?``,
+``DELETE ... WHERE id >= ?``, indexed ``WHERE num = ? AND tag = ?``, and a
+lengthening ``SET tag = ?`` that makes rows outgrow their heap page and
+relocate — also runs on a twin database whose UPDATE/DELETE find their rows
+through a forced-SeqScan plan.  After every mutation the two heaps must be
+byte-identical (same rows at the same record ids) and every secondary index
+must agree exactly with its heap.
+
 The seed is fixed for the tier-1 run so failures reproduce; CI's nightly-style
 job rotates it through ``SQL_DIFFERENTIAL_SEED`` to keep exploring new
 programs without blocking merges.
@@ -20,6 +28,7 @@ programs without blocking merges.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 
@@ -27,6 +36,7 @@ import pytest
 
 from repro.db.costmodel import CostModel
 from repro.db.database import Database
+from repro.db.sql.ast import Delete, Update
 from repro.db.sql.parser import parse
 from repro.db.sql.planner import Planner
 
@@ -89,16 +99,41 @@ def assert_equivalent(
     )
 
 
+def heap_state(table) -> list[tuple]:
+    """Every live ``(rid, row)`` in physical order, as comparable text."""
+    return [(rid, repr(row)) for rid, row in table.heap.scan()]
+
+
+def check_indexes_agree_with_heap(table) -> None:
+    """Each secondary index holds exactly one entry per indexable live row."""
+    live = dict(table.heap.scan())
+    for index in table.secondary_indexes.values():
+        expected = sorted(
+            (index.key_of(row), rid)
+            for rid, row in live.items()
+            if index.key_of(row) is not None
+        )
+        assert sorted(index.tree.items()) == expected, (
+            f"{table.name}.{index.name}: entries diverge from the heap"
+        )
+        index.tree.check_invariants()
+
+
 class Program:
-    """One randomly generated schema + data + index set over a database."""
+    """One randomly generated schema + data + index set over a database.
+
+    ``twin`` replays every mutation with a forced-SeqScan key-finding plan
+    for UPDATE/DELETE (the write oracle); reads run on ``db`` only.
+    """
 
     def __init__(self, rng: random.Random, cost_model: CostModel):
         self.rng = rng
-        self.db = Database(
-            cost_model=cost_model,
-            execution_mode=rng.choice(("batched", "row")),
-        )
+        mode = rng.choice(("batched", "row"))
+        self.db = Database(cost_model=cost_model, execution_mode=mode)
+        self.twin = Database(cost_model=dataclasses.replace(cost_model), execution_mode=mode)
         self.reference_planner = Planner(self.db, use_index_paths=False)
+        self.twin_planner = Planner(self.twin, use_index_paths=False)
+        self.relocations = 0
         self.columns = {
             "t_a": ["id", "num", "score", "tag"],
             "t_b": ["id", "num", "score", "tag"],
@@ -107,12 +142,12 @@ class Program:
         self.next_row_id = 10_000  # fresh-id counter: inserts can never collide
         self.live_indexes: list[str] = []
         for table in self.columns:
-            self.db.execute(
+            self.apply(
                 f"CREATE TABLE {table} (id integer PRIMARY KEY, num integer, "
                 "score float, tag text)"
             )
             for row_id in range(rng.randrange(*ROWS_PER_TABLE)):
-                self.db.execute(
+                self.apply(
                     f"INSERT INTO {table} (id, num, score, tag) VALUES (?, ?, ?, ?)",
                     (
                         row_id,
@@ -124,28 +159,87 @@ class Program:
 
     # -- random DDL/DML churn ------------------------------------------------------------
 
+    def apply(self, sql: str, parameters=()) -> None:
+        """Run one mutation on ``db`` and on the forced-SeqScan ``twin``."""
+        statement = parse(sql)
+        rids = {}
+        if isinstance(statement, Update):
+            table = self.db.table(statement.table)
+            rids = {key: table.primary_index.get(key) for key in table.primary_index.keys()}
+        chosen = self.db.execute(sql, parameters).rowcount
+        plan = None
+        if isinstance(statement, (Update, Delete)):
+            plan = self.twin_planner.plan_dml(statement)
+        reference = self.twin.executor.execute(statement, parameters, plan=plan).rowcount
+        assert chosen == reference, f"rowcounts differ for:\n  {sql} {parameters!r}"
+        if rids:
+            self.relocations += sum(
+                1
+                for key, rid in rids.items()
+                if table.primary_index.get(key) not in (None, rid)
+            )
+
+    def check_twin(self) -> None:
+        """Both heaps identical, and every index faithful to its heap."""
+        for name in self.columns:
+            table, twin_table = self.db.table(name), self.twin.table(name)
+            assert heap_state(table) == heap_state(twin_table), (
+                f"{name}: index-planned and SeqScan-planned writes diverge"
+            )
+            check_indexes_agree_with_heap(table)
+            check_indexes_agree_with_heap(twin_table)
+
+    def _tag(self) -> str:
+        return self.rng.choice(("alpha", "beta", "gamma", "delta"))
+
     def mutate(self) -> None:
         rng = self.rng
         table = rng.choice(list(self.columns))
         roll = rng.random()
-        if roll < 0.35:
+        if roll < 0.3:
             self.next_row_id += 1
-            self.db.execute(
+            self.apply(
                 f"INSERT INTO {table} (id, num, score, tag) VALUES (?, ?, ?, ?)",
                 (
                     self.next_row_id,
                     rng.randrange(0, 25),
                     round(rng.uniform(-2.0, 2.0), 3),
-                    rng.choice(("alpha", "beta", "gamma", "delta")),
+                    self._tag(),
                 ),
             )
-        elif roll < 0.6:
-            self.db.execute(
+        elif roll < 0.42:
+            self.apply(
                 f"UPDATE {table} SET num = ?, score = ? WHERE num = ?",
                 (rng.randrange(0, 25), round(rng.uniform(-2.0, 2.0), 3), rng.randrange(0, 25)),
             )
+        elif roll < 0.5:
+            self.apply(
+                f"UPDATE {table} SET num = ?, tag = ? WHERE id = ?",
+                (rng.randrange(0, 25), self._tag(), rng.randrange(0, 150)),
+            )
+        elif roll < 0.57:
+            self.apply(
+                f"UPDATE {table} SET score = ? WHERE num = ? AND tag = ?",
+                (round(rng.uniform(-2.0, 2.0), 3), rng.randrange(0, 25), self._tag()),
+            )
+        elif roll < 0.64:
+            # Lengthening: rows outgrow page 0 and relocate.
+            self.apply(
+                f"UPDATE {table} SET tag = ? WHERE num = ?",
+                (self._tag() * rng.randrange(80, 200), rng.randrange(0, 25)),
+            )
+        elif roll < 0.7:
+            self.apply(f"DELETE FROM {table} WHERE num = ?", (rng.randrange(0, 25),))
+        elif roll < 0.74:
+            self.apply(
+                f"DELETE FROM {table} WHERE id >= ?",
+                (rng.choice((rng.randrange(130, 150), self.next_row_id - rng.randrange(0, 4))),),
+            )
         elif roll < 0.8:
-            self.db.execute(f"DELETE FROM {table} WHERE num = ?", (rng.randrange(0, 25),))
+            self.apply(
+                f"DELETE FROM {table} WHERE num = ? AND tag = ?",
+                (rng.randrange(0, 25), self._tag()),
+            )
         elif roll < 0.92 or not self.live_indexes:
             name = f"idx_{self.next_index}"
             self.next_index += 1
@@ -153,11 +247,12 @@ class Program:
                 columns = rng.sample(["num", "score", "tag"], rng.choice((2, 3)))
             else:
                 columns = [rng.choice(["num", "score", "tag"])]
-            self.db.execute(f"CREATE INDEX {name} ON {table} ({', '.join(columns)})")
+            self.apply(f"CREATE INDEX {name} ON {table} ({', '.join(columns)})")
             self.live_indexes.append(name)
         else:
             victim = self.live_indexes.pop(rng.randrange(len(self.live_indexes)))
-            self.db.execute(f"DROP INDEX {victim}")
+            self.apply(f"DROP INDEX {victim}")
+        self.check_twin()
 
     # -- random SELECTs ------------------------------------------------------------------
 
@@ -240,6 +335,7 @@ def test_differential_oracle(program_index: int, cost_model_name: str):
     )
     rng = random.Random(f"{SEED}:{cost_model_name}:{program_index}")
     program = Program(rng, cost_model)
+    program.check_twin()
     for _ in range(QUERIES_PER_PROGRAM):
         for _ in range(rng.randrange(0, 4)):
             program.mutate()
